@@ -36,15 +36,14 @@ namespace cpr {
 /// The solved analyses of one function at one point in time.
 struct FunctionAnalyses {
   explicit FunctionAnalyses(const Function &F)
-      : LV(F), N(F), Reach(F, N) {}
+      : LV(F), Reach(F, LV.numbering()) {}
 
   FunctionAnalyses(const FunctionAnalyses &) = delete;
   FunctionAnalyses &operator=(const FunctionAnalyses &) = delete;
 
-  /// Backward/union liveness over the dense solver.
+  /// Backward/union liveness over the dense solver; its numbering is
+  /// the register universe the other clients share.
   Liveness LV;
-  /// The dense register universe the dataflow clients share.
-  RegNumbering N;
   /// Forward/union cross-block reaching definitions.
   ReachingDefBlocks Reach;
 };

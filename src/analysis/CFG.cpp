@@ -24,19 +24,21 @@ BlockId cpr::resolveBranchTarget(const Block &B, size_t OpIdx) {
   return Pbr.pbrTarget();
 }
 
-std::vector<BlockExit> cpr::blockExits(const Function &F, size_t LayoutIdx) {
+namespace {
+
+/// Appends the exits of block \p LayoutIdx to \p Out (see blockExits).
+void appendBlockExits(const Function &F, size_t LayoutIdx,
+                      std::vector<BlockExit> &Out) {
   const Block &B = F.block(LayoutIdx);
-  std::vector<BlockExit> Exits;
   bool FallsThrough = true;
   for (size_t I = 0, E = B.size(); I != E; ++I) {
     const Operation &Op = B.ops()[I];
     if (Op.isBranch()) {
-      Exits.push_back(BlockExit{static_cast<int>(I),
-                                resolveBranchTarget(B, I)});
+      Out.push_back(BlockExit{static_cast<int>(I), resolveBranchTarget(B, I)});
       continue;
     }
     if (Op.getOpcode() == Opcode::Halt || Op.getOpcode() == Opcode::Trap) {
-      Exits.push_back(BlockExit{static_cast<int>(I), InvalidBlockId});
+      Out.push_back(BlockExit{static_cast<int>(I), InvalidBlockId});
       // Operations after an unguarded halt/trap are unreachable.
       if (Op.getGuard().isTruePred()) {
         FallsThrough = false;
@@ -48,8 +50,15 @@ std::vector<BlockExit> cpr::blockExits(const Function &F, size_t LayoutIdx) {
     BlockId Next = LayoutIdx + 1 < F.numBlocks()
                        ? F.block(LayoutIdx + 1).getId()
                        : InvalidBlockId;
-    Exits.push_back(BlockExit{-1, Next});
+    Out.push_back(BlockExit{-1, Next});
   }
+}
+
+} // namespace
+
+std::vector<BlockExit> cpr::blockExits(const Function &F, size_t LayoutIdx) {
+  std::vector<BlockExit> Exits;
+  appendBlockExits(F, LayoutIdx, Exits);
   return Exits;
 }
 
@@ -63,4 +72,41 @@ std::vector<BlockId> cpr::blockSuccessors(const Function &F,
       Succs.push_back(E.Target);
   }
   return Succs;
+}
+
+LayoutMap::LayoutMap(const Function &F) {
+  const size_t NBlocks = F.numBlocks();
+  const size_t Cap = 4 * NBlocks + 64;
+  Dense.assign(std::min<size_t>(F.allocatorState().NextBlockId, Cap), -1);
+  for (size_t L = 0; L < NBlocks; ++L) {
+    BlockId Id = F.block(L).getId();
+    if (Id < Dense.size())
+      Dense[Id] = static_cast<int>(L);
+    else
+      Overflow.emplace_back(Id, static_cast<int>(L));
+  }
+  std::sort(Overflow.begin(), Overflow.end());
+}
+
+int LayoutMap::searchOverflow(BlockId Id) const {
+  auto It = std::lower_bound(
+      Overflow.begin(), Overflow.end(), Id,
+      [](const std::pair<BlockId, int> &P, BlockId V) { return P.first < V; });
+  return It != Overflow.end() && It->first == Id ? It->second : -1;
+}
+
+ExitTable::ExitTable(const Function &F, const LayoutMap &Layout) {
+  const size_t NBlocks = F.numBlocks();
+  std::vector<BlockExit> Exits;
+  Begin.reserve(NBlocks + 1);
+  for (size_t L = 0; L < NBlocks; ++L) {
+    Begin.push_back(static_cast<uint32_t>(All.size()));
+    Exits.clear();
+    appendBlockExits(F, L, Exits);
+    for (const BlockExit &E : Exits)
+      All.push_back(Exit{E.OpIdx, E.Target,
+                         E.Target == InvalidBlockId ? -1
+                                                    : Layout.indexOf(E.Target)});
+  }
+  Begin.push_back(static_cast<uint32_t>(All.size()));
 }

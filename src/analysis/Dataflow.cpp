@@ -10,6 +10,8 @@
 #include "analysis/PQS.h"
 #include "ir/CmppAction.h"
 
+#include <algorithm>
+
 using namespace cpr;
 
 //===----------------------------------------------------------------------===//
@@ -17,25 +19,67 @@ using namespace cpr;
 //===----------------------------------------------------------------------===//
 
 RegNumbering::RegNumbering(const Function &F) {
-  auto Add = [&](Reg R) {
-    // The always-true predicate is never defined and never tracked by any
-    // client (every transfer skips it as a guard), so it earns no bit.
+  // The register allocator's counters bound the ids a function hands out;
+  // the cap keeps an id read from input from sizing the tables.
+  const size_t Cap = 8 * (F.totalOps() + F.observableRegs().size()) + 64;
+  AllocatorState Alloc = F.allocatorState();
+  for (unsigned C = 0; C < NumRegClasses; ++C)
+    TableBegin[C + 1] =
+        TableBegin[C] + std::min<size_t>(Alloc.NextRegId[C], Cap);
+  Table.assign(TableBegin[NumRegClasses], 0);
+
+  // Mark every register slot: observables, guards, register sources and
+  // definitions. The always-true predicate is never defined and never
+  // tracked by any client (every transfer skips it as a guard), so it
+  // earns no bit. Ids past a class's table are collected apart.
+  std::vector<Reg> Sparse;
+  auto Mark = [&](Reg R) {
     if (!R.isValid() || R.isTruePred())
       return;
-    if (Index.emplace(R, Regs.size()).second)
-      Regs.push_back(R);
+    unsigned C = static_cast<unsigned>(R.getClass());
+    if (R.getId() < TableBegin[C + 1] - TableBegin[C])
+      Table[TableBegin[C] + R.getId()] = 1;
+    else
+      Sparse.push_back(R);
   };
   for (Reg R : F.observableRegs())
-    Add(R);
+    Mark(R);
   for (size_t L = 0, E = F.numBlocks(); L != E; ++L)
     for (const Operation &Op : F.block(L).ops()) {
-      Add(Op.getGuard());
+      Mark(Op.getGuard());
       for (const Operand &S : Op.srcs())
         if (S.isReg())
-          Add(S.getReg());
+          Mark(S.getReg());
       for (const DefSlot &D : Op.defs())
-        Add(D.R);
+        Mark(D.R);
     }
+  std::sort(Sparse.begin(), Sparse.end());
+  Sparse.erase(std::unique(Sparse.begin(), Sparse.end()), Sparse.end());
+
+  // Ascending indices: per class, the table's ids, then the sparse ones.
+  auto SparseIt = Sparse.begin();
+  for (unsigned C = 0; C < NumRegClasses; ++C) {
+    ClassBegin[C] = static_cast<uint32_t>(Regs.size());
+    RegClass RC = static_cast<RegClass>(C);
+    for (size_t Slot = TableBegin[C]; Slot != TableBegin[C + 1]; ++Slot)
+      if (Table[Slot]) {
+        Regs.push_back(Reg(RC, static_cast<uint32_t>(Slot - TableBegin[C])));
+        Table[Slot] = static_cast<uint32_t>(Regs.size());
+      }
+    for (; SparseIt != Sparse.end() && SparseIt->getClass() == RC; ++SparseIt)
+      Regs.push_back(*SparseIt);
+  }
+  ClassBegin[NumRegClasses] = static_cast<uint32_t>(Regs.size());
+}
+
+int RegNumbering::searchSparse(Reg R) const {
+  unsigned C = static_cast<unsigned>(R.getClass());
+  auto Begin = Regs.begin() + ClassBegin[C];
+  auto End = Regs.begin() + ClassBegin[C + 1];
+  auto It = std::lower_bound(Begin, End, R);
+  if (It == End || *It != R)
+    return -1;
+  return static_cast<int>(It - Regs.begin());
 }
 
 //===----------------------------------------------------------------------===//
@@ -71,7 +115,11 @@ WriteKind cpr::predicatedWriteKind(const Operation &Op, const DefSlot &D,
 // DataflowSolver
 //===----------------------------------------------------------------------===//
 
-DataflowSolver::DataflowSolver(const Function &F, const DataflowProblem &P) {
+DataflowSolver::DataflowSolver(const Function &F, const DataflowProblem &P)
+    : DataflowSolver(F, P, ExitTable(F, LayoutMap(F))) {}
+
+DataflowSolver::DataflowSolver(const Function &F, const DataflowProblem &P,
+                               const ExitTable &Exits) {
   const size_t NBlocks = F.numBlocks();
   const size_t Universe = P.universeSize();
   const bool Forward = P.direction() == DataflowProblem::Direction::Forward;
@@ -85,19 +133,14 @@ DataflowSolver::DataflowSolver(const Function &F, const DataflowProblem &P) {
       Full.set(I);
 
   // Merge inputs per block: predecessors (forward) or exits (backward,
-  // with function-leaving exits contributing the boundary value).
-  std::vector<std::vector<size_t>> Preds(NBlocks);
-  // Per block: layout indices of exit targets; -1 = boundary (halt/trap/
-  // fall-off-end).
-  std::vector<std::vector<int>> ExitTargets(NBlocks);
-  for (size_t L = 0; L < NBlocks; ++L) {
-    for (const BlockExit &E : blockExits(F, L)) {
-      int T = E.Target == InvalidBlockId ? -1 : F.layoutIndex(E.Target);
-      ExitTargets[L].push_back(T);
-      if (T >= 0)
-        Preds[static_cast<size_t>(T)].push_back(L);
-    }
-  }
+  // with function-leaving exits -- halt/trap/fall-off-end, or a target
+  // that no longer exists -- contributing the boundary value).
+  std::vector<std::vector<size_t>> Preds(Forward ? NBlocks : 0);
+  if (Forward)
+    for (size_t L = 0; L < NBlocks; ++L)
+      for (const ExitTable::Exit &E : Exits.of(L))
+        if (E.TargetIdx >= 0)
+          Preds[static_cast<size_t>(E.TargetIdx)].push_back(L);
 
   // Intersection problems start interior blocks at top (full) so the meet
   // can only descend; union problems start empty. A no-predecessor,
@@ -140,16 +183,17 @@ DataflowSolver::DataflowSolver(const Function &F, const DataflowProblem &P) {
         Merged = InSets[L];
         P.transfer(L, Merged, InSets);
         if (Merged != OutSets[L]) {
-          OutSets[L] = std::move(Merged);
-          Merged = BitVector(Universe);
+          std::swap(OutSets[L], Merged);
           Changed = true;
         }
       } else {
         // Out = meet over exits' in (function-leaving exits contribute
         // the boundary).
         bool First = true;
-        for (int T : ExitTargets[L]) {
-          const BitVector &V = T < 0 ? Boundary : InSets[static_cast<size_t>(T)];
+        for (const ExitTable::Exit &E : Exits.of(L)) {
+          const BitVector &V = E.TargetIdx < 0
+                                   ? Boundary
+                                   : InSets[static_cast<size_t>(E.TargetIdx)];
           if (First) {
             Merged = V;
             First = false;
@@ -168,8 +212,7 @@ DataflowSolver::DataflowSolver(const Function &F, const DataflowProblem &P) {
         Merged = OutSets[L];
         P.transfer(L, Merged, InSets);
         if (Merged != InSets[L]) {
-          InSets[L] = std::move(Merged);
-          Merged = BitVector(Universe);
+          std::swap(InSets[L], Merged);
           Changed = true;
         }
       }

@@ -41,10 +41,10 @@
 #ifndef ANALYSIS_DATAFLOW_H
 #define ANALYSIS_DATAFLOW_H
 
+#include "analysis/CFG.h"
 #include "ir/Function.h"
 #include "support/BitVector.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace cpr {
@@ -52,9 +52,16 @@ namespace cpr {
 class RegionPQS;
 
 /// Dense numbering of every register mentioned by one function (guards,
-/// sources, definitions, observables), in first-appearance order over the
-/// layout. The numbering is the bit universe of every dataflow problem
-/// below.
+/// sources, definitions, observables) in ascending register order (class,
+/// then id), so iterating a set's bits in index order visits registers in
+/// ascending order. The numbering is the bit universe of every dataflow
+/// problem below.
+///
+/// No hashing: a per-class table, sized by the function's register-id
+/// allocator, maps ids straight to indices. Each table is capped at a
+/// multiple of the function's operation count, so memory is bounded by
+/// the function's size and never by an id read from input; the rare ids
+/// beyond a table are found by binary search.
 class RegNumbering {
 public:
   explicit RegNumbering(const Function &F);
@@ -62,14 +69,24 @@ public:
   size_t size() const { return Regs.size(); }
   /// Dense index of \p R, or -1 when \p R does not appear in the function.
   int indexOf(Reg R) const {
-    auto It = Index.find(R);
-    return It == Index.end() ? -1 : static_cast<int>(It->second);
+    unsigned C = static_cast<unsigned>(R.getClass());
+    if (R.getId() < TableBegin[C + 1] - TableBegin[C])
+      return static_cast<int>(Table[TableBegin[C] + R.getId()]) - 1;
+    return searchSparse(R);
   }
   Reg regOf(size_t I) const { return Regs[I]; }
 
 private:
-  std::unordered_map<Reg, size_t> Index;
+  int searchSparse(Reg R) const;
+
+  /// Every numbered register, ascending; index = position.
   std::vector<Reg> Regs;
+  /// Table[TableBegin[C] + Id] = index + 1 of register (C, Id), or 0
+  /// when absent, for Id below the class's table size.
+  std::vector<uint32_t> Table;
+  size_t TableBegin[NumRegClasses + 1] = {};
+  /// Per class: Regs[ClassBegin[C], ClassBegin[C + 1]) holds class C.
+  uint32_t ClassBegin[NumRegClasses + 1] = {};
 };
 
 /// How a definition slot behaves for dataflow purposes once its guard
@@ -123,6 +140,9 @@ public:
 class DataflowSolver {
 public:
   DataflowSolver(const Function &F, const DataflowProblem &P);
+  /// Same, reusing an exit enumeration of \p F the caller already built.
+  DataflowSolver(const Function &F, const DataflowProblem &P,
+                 const ExitTable &Exits);
 
   const BitVector &in(size_t LayoutIdx) const { return InSets[LayoutIdx]; }
   const BitVector &out(size_t LayoutIdx) const { return OutSets[LayoutIdx]; }

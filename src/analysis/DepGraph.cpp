@@ -169,6 +169,7 @@ DepGraph::DepGraph(const Function &F, const Block &B, const MachineDesc &MD,
 
   // --- Control state ----------------------------------------------------
   std::vector<uint32_t> PriorBranches; // branch/halt/trap indices so far
+  std::vector<LiveSet> PriorExitLive;  // their exit live sets
   int BrLat = MD.branchLatency();
 
   for (uint32_t I = 0; I < NumNodes; ++I) {
@@ -227,7 +228,8 @@ DepGraph::DepGraph(const Function &F, const Block &B, const MachineDesc &MD,
     bool SideEffects = Op.hasSideEffects();
     BDD::NodeRef MyCond =
         Op.isBranch() ? PQS.takenExpr(I) : PQS.guardExpr(I);
-    for (uint32_t Br : PriorBranches) {
+    for (size_t K = 0; K < PriorBranches.size(); ++K) {
+      uint32_t Br = PriorBranches[K];
       const Operation &BrOp = Ops[Br];
       BDD::NodeRef ExitCond = BrOp.isBranch() ? PQS.takenExpr(Br)
                                               : PQS.guardExpr(Br);
@@ -249,9 +251,8 @@ DepGraph::DepGraph(const Function &F, const Block &B, const MachineDesc &MD,
       // live on the exit path. Unconditional cmpp targets write even under
       // a false guard, so the guard-disjointness exemption above does not
       // apply to them; re-check per destination.
-      RegSet ExitLive = LV.liveAtExit(F, B, Br);
       for (const DefSlot &D : Op.defs()) {
-        bool Clobbers = ExitLive.count(D.R) != 0;
+        bool Clobbers = PriorExitLive[K].contains(D.R);
         if (!Clobbers)
           continue;
         bool AlwaysWrites =
@@ -287,6 +288,7 @@ DepGraph::DepGraph(const Function &F, const Block &B, const MachineDesc &MD,
         addEdge(J, I, DepKind::Control, 1 - ExitLat);
       }
       PriorBranches.push_back(I);
+      PriorExitLive.push_back(LV.liveAtExit(F, B, I));
     }
 
     // Definitions.

@@ -10,9 +10,9 @@
 #include "analysis/Dataflow.h"
 #include "support/Error.h"
 
-using namespace cpr;
+#include <algorithm>
 
-const RegSet Liveness::EmptySet;
+using namespace cpr;
 
 namespace {
 
@@ -28,120 +28,166 @@ bool defAlwaysWrites(const Operation &Op, const DefSlot &D) {
 }
 
 /// Backward/union liveness over the dense dataflow solver
-/// (analysis/Dataflow.h). The transfer folds interior exits at their op
-/// positions — the same precision the per-register-set implementation
-/// had — but runs on BitVector words instead of hash-set elements
-/// (ROADMAP O3; see bench/bench_liveness.cpp for the before/after).
+/// (analysis/Dataflow.h), on block transfer summaries (see the file
+/// comment of analysis/Liveness.h). Every mask lives in one word pool, so
+/// summarizing a function costs a handful of allocations.
 class LivenessProblem : public DataflowProblem {
 public:
-  LivenessProblem(const Function &F, const RegNumbering &N)
-      : F(F), N(N), Observable(N.size()) {
-    for (Reg R : F.observableRegs()) {
-      int I = N.indexOf(R);
-      if (I >= 0)
-        Observable.set(static_cast<size_t>(I));
+  LivenessProblem(const Function &F, const RegNumbering &N,
+                  const ExitTable &Exits, const BitVector &Observable)
+      : Observable(Observable), W(Observable.numWords()) {
+    const size_t NBlocks = F.numBlocks();
+    Blocks.reserve(NBlocks);
+    for (size_t L = 0; L != NBlocks; ++L) {
+      const Block &B = F.block(L);
+      Summary S;
+      S.Gen = Pool.size();
+      S.KillAll = S.Gen + W;
+      S.FirstExit = static_cast<uint32_t>(ExitList.size());
+      Pool.resize(S.KillAll + W, 0);
+      ExitTable::Range BlockExits = Exits.of(L);
+      const ExitTable::Exit *NextExit = BlockExits.begin();
+      // Top-down: a read survives to the block entry unless an op above
+      // surely writes the register; an exit's live set survives unless an
+      // op at or above the exit does.
+      for (size_t OI = 0, OE = B.size(); OI != OE; ++OI) {
+        const Operation &Op = B.ops()[OI];
+        auto Gen = [&](Reg R) {
+          int I = N.indexOf(R);
+          if (I >= 0 && !test(S.KillAll, static_cast<size_t>(I)))
+            set(S.Gen, static_cast<size_t>(I));
+        };
+        if (!Op.getGuard().isTruePred())
+          Gen(Op.getGuard());
+        for (const Operand &Src : Op.srcs())
+          if (Src.isReg())
+            Gen(Src.getReg());
+        // The op's own reads precede its writes, so its kills go in last.
+        for (const DefSlot &D : Op.defs())
+          if (defAlwaysWrites(Op, D)) {
+            int I = N.indexOf(D.R);
+            if (I >= 0)
+              set(S.KillAll, static_cast<size_t>(I));
+          }
+        for (; NextExit != BlockExits.end() &&
+               NextExit->OpIdx == static_cast<int>(OI);
+             ++NextExit) {
+          if (NextExit->Target != InvalidBlockId && NextExit->TargetIdx < 0)
+            continue; // a vanished target contributes nothing
+          size_t KillAt = Pool.size();
+          Pool.resize(KillAt + W);
+          std::copy_n(Pool.begin() + static_cast<ptrdiff_t>(S.KillAll), W,
+                      Pool.begin() + static_cast<ptrdiff_t>(KillAt));
+          ExitList.push_back(ExitSummary{NextExit->Target == InvalidBlockId
+                                             ? ObservableSource
+                                             : NextExit->TargetIdx,
+                                         KillAt});
+        }
+      }
+      S.EndExit = static_cast<uint32_t>(ExitList.size());
+      Blocks.push_back(S);
     }
   }
 
   Direction direction() const override { return Direction::Backward; }
   Meet meet() const override { return Meet::Union; }
-  size_t universeSize() const override { return N.size(); }
+  size_t universeSize() const override { return Observable.size(); }
   void boundary(BitVector &V) const override { V.orWith(Observable); }
 
+  /// In = Gen | (Out - KillAll) | U_j (In(target_j) - KillAt_j).
   void transfer(size_t LayoutIdx, BitVector &V,
                 const std::vector<BitVector> &InSets) const override {
-    const Block &B = F.block(LayoutIdx);
-    std::vector<BlockExit> Exits = blockExits(F, LayoutIdx);
-    for (size_t OI = B.size(); OI-- > 0;) {
-      const Operation &Op = B.ops()[OI];
-      // Interior exits add their targets' live-ins at the exit point.
-      if (Op.isControl()) {
-        for (const BlockExit &E : Exits) {
-          if (E.OpIdx != static_cast<int>(OI))
-            continue;
-          if (E.Target == InvalidBlockId) {
-            V.orWith(Observable);
-          } else {
-            int T = F.layoutIndex(E.Target);
-            if (T >= 0)
-              V.orWith(InSets[static_cast<size_t>(T)]);
-          }
-        }
-      }
-      // Backward transfer: kill sure definitions, then gen reads.
-      for (const DefSlot &D : Op.defs())
-        if (defAlwaysWrites(Op, D)) {
-          int I = N.indexOf(D.R);
-          if (I >= 0)
-            V.reset(static_cast<size_t>(I));
-        }
-      if (!Op.getGuard().isTruePred()) {
-        int I = N.indexOf(Op.getGuard());
-        if (I >= 0)
-          V.set(static_cast<size_t>(I));
-      }
-      for (const Operand &S : Op.srcs())
-        if (S.isReg()) {
-          int I = N.indexOf(S.getReg());
-          if (I >= 0)
-            V.set(static_cast<size_t>(I));
-        }
+    const Summary &S = Blocks[LayoutIdx];
+    uint64_t *Out = V.words();
+    const uint64_t *Gen = Pool.data() + S.Gen;
+    const uint64_t *Kill = Pool.data() + S.KillAll;
+    for (size_t I = 0; I != W; ++I)
+      Out[I] = (Out[I] & ~Kill[I]) | Gen[I];
+    for (uint32_t X = S.FirstExit; X != S.EndExit; ++X) {
+      const ExitSummary &E = ExitList[X];
+      const uint64_t *Live =
+          (E.Source == ObservableSource ? Observable
+                                        : InSets[static_cast<size_t>(E.Source)])
+              .words();
+      const uint64_t *KillAt = Pool.data() + E.KillAt;
+      for (size_t I = 0; I != W; ++I)
+        Out[I] |= Live[I] & ~KillAt[I];
     }
   }
 
 private:
-  const Function &F;
-  const RegNumbering &N;
-  BitVector Observable;
+  static constexpr int ObservableSource = -1;
+
+  /// One interior exit: whose live-in it folds in (a layout index, or
+  /// ObservableSource for halt/trap/unresolved targets) and the pool
+  /// offset of the sure writes at or above it.
+  struct ExitSummary {
+    int Source;
+    size_t KillAt;
+  };
+  /// Pool offsets of a block's Gen and KillAll rows, and its exits'
+  /// range in ExitList.
+  struct Summary {
+    size_t Gen = 0, KillAll = 0;
+    uint32_t FirstExit = 0, EndExit = 0;
+  };
+
+  bool test(size_t Row, size_t I) const {
+    return (Pool[Row + I / 64] >> (I % 64)) & 1;
+  }
+  void set(size_t Row, size_t I) { Pool[Row + I / 64] |= uint64_t(1) << (I % 64); }
+
+  const BitVector &Observable;
+  const size_t W; ///< words per mask
+  std::vector<uint64_t> Pool;
+  std::vector<Summary> Blocks;
+  std::vector<ExitSummary> ExitList;
 };
+
+BitVector observableBits(const Function &F, const RegNumbering &N) {
+  BitVector V(N.size());
+  for (Reg R : F.observableRegs()) {
+    int I = N.indexOf(R);
+    if (I >= 0)
+      V.set(static_cast<size_t>(I));
+  }
+  return V;
+}
+
+DataflowSolver solve(const Function &F, const RegNumbering &N,
+                     const LayoutMap &Layout, const BitVector &Observable) {
+  ExitTable Exits(F, Layout);
+  return DataflowSolver(F, LivenessProblem(F, N, Exits, Observable), Exits);
+}
 
 } // namespace
 
-Liveness::Liveness(const Function &F) {
-  for (Reg R : F.observableRegs())
-    ObservableSet.insert(R);
+Liveness::Liveness(const Function &F)
+    : N(F), Layout(F), Observable(observableBits(F, N)),
+      Solution(solve(F, N, Layout, Observable)) {}
 
-  RegNumbering N(F);
-  LivenessProblem P(F, N);
-  DataflowSolver S(F, P);
-
-  // Materialize the dense solution into the RegSet API every existing
-  // client (scheduler, DCE, off-trace motion, perf model) consumes.
-  auto ToSet = [&](const BitVector &V) {
-    RegSet Out;
-    for (size_t I = V.findFirst(); I != BitVector::npos; I = V.findNext(I + 1))
-      Out.insert(N.regOf(I));
-    return Out;
-  };
-  for (size_t L = 0, E = F.numBlocks(); L != E; ++L) {
-    BlockId Id = F.block(L).getId();
-    LiveInMap[Id] = ToSet(S.in(L));
-    LiveOutMap[Id] = ToSet(S.out(L));
-  }
+LiveSet Liveness::liveIn(BlockId B) const {
+  int L = Layout.indexOf(B);
+  return L < 0 ? LiveSet() : LiveSet(Solution.in(static_cast<size_t>(L)), N);
 }
 
-const RegSet &Liveness::liveIn(BlockId B) const {
-  auto It = LiveInMap.find(B);
-  return It == LiveInMap.end() ? EmptySet : It->second;
+LiveSet Liveness::liveOut(BlockId B) const {
+  int L = Layout.indexOf(B);
+  return L < 0 ? LiveSet()
+               : LiveSet(Solution.out(static_cast<size_t>(L)), N);
 }
 
-const RegSet &Liveness::liveOut(BlockId B) const {
-  auto It = LiveOutMap.find(B);
-  return It == LiveOutMap.end() ? EmptySet : It->second;
-}
-
-RegSet Liveness::liveAtExit(const Function &F, const Block &B,
-                            size_t OpIdx) const {
+LiveSet Liveness::liveAtExit(const Function &F, const Block &B,
+                             size_t OpIdx) const {
+  (void)F;
   const Operation &Op = B.ops()[OpIdx];
   assert(Op.isControl() && "liveAtExit requires a control operation");
   if (Op.isBranch()) {
     BlockId Target = resolveBranchTarget(B, OpIdx);
     if (Target != InvalidBlockId)
       return liveIn(Target);
-    (void)F;
-    return ObservableSet;
   }
-  return ObservableSet; // halt/trap observe the observable registers
+  return observable(); // halt/trap observe the observable registers
 }
 
 //===----------------------------------------------------------------------===//
@@ -194,9 +240,8 @@ PredicatedLiveness::PredicatedLiveness(const Function &F, const Block &B,
 
     // Exits merge in their target's live set under the exit condition.
     if (Op.isBranch()) {
-      RegSet ExitLive = L.liveAtExit(F, B, I);
       BDD::NodeRef Taken = PQS.takenExpr(I);
-      for (Reg R : ExitLive)
+      for (Reg R : L.liveAtExit(F, B, I))
         OrInto(Cur, R, Taken);
     } else if (Op.getOpcode() == Opcode::Halt ||
                Op.getOpcode() == Opcode::Trap) {

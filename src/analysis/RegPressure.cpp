@@ -8,14 +8,16 @@
 
 #include "analysis/CFG.h"
 
+
 using namespace cpr;
 
 namespace {
 
-PressureReport snapshot(const RegSet &Live) {
+PressureReport snapshot(const BitVector &Live, const RegNumbering &N) {
   PressureReport R;
-  for (Reg Reg : Live)
-    ++R.Peak[static_cast<unsigned>(Reg.getClass())];
+  for (size_t I = Live.findFirst(); I != BitVector::npos;
+       I = Live.findNext(I + 1))
+    ++R.Peak[static_cast<unsigned>(N.regOf(I).getClass())];
   return R;
 }
 
@@ -24,11 +26,14 @@ PressureReport snapshot(const RegSet &Live) {
 PressureReport cpr::measureBlockPressure(const Function &F, const Block &B,
                                          const Liveness &LV) {
   PressureReport Peak;
+  const RegNumbering &N = LV.numbering();
 
   // Backward walk mirroring the liveness transfer, taking a pressure
-  // snapshot at every program point.
-  RegSet Live = LV.liveOut(B.getId());
-  Peak.mergeMax(snapshot(Live));
+  // snapshot at every program point. The hardwired true predicate has no
+  // bit: it never occupies an allocatable register.
+  BitVector Live(N.size());
+  LV.liveOut(B.getId()).addTo(Live);
+  Peak.mergeMax(snapshot(Live, N));
 
   int LayoutIdx = F.layoutIndex(B.getId());
   std::vector<BlockExit> Exits =
@@ -38,29 +43,31 @@ PressureReport cpr::measureBlockPressure(const Function &F, const Block &B,
   for (size_t OI = B.size(); OI-- > 0;) {
     const Operation &Op = B.ops()[OI];
     if (Op.isControl()) {
-      for (const BlockExit &E : Exits) {
-        if (E.OpIdx != static_cast<int>(OI) || E.Target == InvalidBlockId)
-          continue;
-        const RegSet &SuccIn = LV.liveIn(E.Target);
-        Live.insert(SuccIn.begin(), SuccIn.end());
-      }
+      for (const BlockExit &E : Exits)
+        if (E.OpIdx == static_cast<int>(OI) && E.Target != InvalidBlockId)
+          LV.liveIn(E.Target).addTo(Live);
       if (Op.getOpcode() == Opcode::Halt || Op.getOpcode() == Opcode::Trap)
-        for (Reg R : F.observableRegs())
-          Live.insert(R);
+        LV.observable().addTo(Live);
     }
     for (const DefSlot &D : Op.defs()) {
       bool AlwaysWrites =
           Op.isCmpp() ? (D.Act == CmppAction::UN || D.Act == CmppAction::UC)
                       : (Op.getGuard().isTruePred() || Op.isFrpGuard());
-      if (AlwaysWrites)
-        Live.erase(D.R);
+      int I = N.indexOf(D.R);
+      if (AlwaysWrites && I >= 0)
+        Live.reset(static_cast<size_t>(I));
     }
+    auto Use = [&](Reg R) {
+      int I = N.indexOf(R);
+      if (I >= 0)
+        Live.set(static_cast<size_t>(I));
+    };
     if (!Op.getGuard().isTruePred())
-      Live.insert(Op.getGuard());
+      Use(Op.getGuard());
     for (const Operand &S : Op.srcs())
       if (S.isReg())
-        Live.insert(S.getReg());
-    Peak.mergeMax(snapshot(Live));
+        Use(S.getReg());
+    Peak.mergeMax(snapshot(Live, N));
   }
   return Peak;
 }

@@ -124,13 +124,12 @@ Expected<MotionStats> cpr::moveOffTrace(Function &F,
                                   Plan.OnTracePred);
   }
   std::unordered_set<uint32_t> SplitSet;
-  const RegSet &FallLive = [&]() -> const RegSet & {
+  LiveSet FallLive;
+  {
     int LI = F.layoutIndex(B.getId());
-    static const RegSet Empty;
     if (LI >= 0 && static_cast<size_t>(LI) + 1 < F.numBlocks())
-      return LV.liveIn(F.block(static_cast<size_t>(LI) + 1).getId());
-    return Empty;
-  }();
+      FallLive = LV.liveIn(F.block(static_cast<size_t>(LI) + 1).getId());
+  }
 
   // Indices of the CPR block's controlling compares: their predicates are
   // re-wired to the on-trace FRP, so they never need on-trace copies.
@@ -170,7 +169,7 @@ Expected<MotionStats> cpr::moveOffTrace(Function &F,
             B.ops()[J].getGuard().isTruePred())
           break; // killed before any further use
       }
-      if (FallLive.count(D.R))
+      if (FallLive.contains(D.R))
         Needed = true;
       for (Reg R : F.observableRegs())
         if (R == D.R)
@@ -198,7 +197,7 @@ Expected<MotionStats> cpr::moveOffTrace(Function &F,
       bool OnlyMovedUses = true;
       bool AnyUse = false;
       for (const DefSlot &D : Op.defs()) {
-        if (FallLive.count(D.R)) {
+        if (FallLive.contains(D.R)) {
           OnlyMovedUses = false;
           break;
         }

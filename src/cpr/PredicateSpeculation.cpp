@@ -61,7 +61,7 @@ SpeculationStats cpr::speculatePredicates(Function &F, Block &B) {
     // removal *above* the original branches, so promotion is speculation:
     // the destination must be dead at the target of every branch that
     // precedes... more precisely, that originally guarded the operation.
-    std::vector<std::pair<size_t, RegSet>> BranchExitLive;
+    std::vector<std::pair<size_t, LiveSet>> BranchExitLive;
     for (size_t I = 0; I < B.size(); ++I)
       if (B.ops()[I].isBranch())
         BranchExitLive.emplace_back(I, LV.liveAtExit(F, B, I));
@@ -91,7 +91,7 @@ SpeculationStats cpr::speculatePredicates(Function &F, Block &B) {
         for (const auto &[BrIdx, ExitLive] : BranchExitLive) {
           if (BrIdx >= I)
             break;
-          if (ExitLive.count(D.R)) {
+          if (ExitLive.contains(D.R)) {
             Safe = false;
             break;
           }

@@ -199,7 +199,7 @@ bool compNeedsValue(const Function &F, Liveness &LV, const Block &Comp,
     }
     if (Op.isBranch()) {
       BlockId T = resolveBranchTarget(Comp, K);
-      if (T == InvalidBlockId || !F.blockById(T) || LV.liveIn(T).count(R))
+      if (T == InvalidBlockId || !F.blockById(T) || LV.liveIn(T).contains(R))
         return true; // unknown target: stay conservative
       continue;      // fall-through keeps scanning
     }
@@ -428,7 +428,7 @@ public:
       for (const Bypass &BP : findBypasses(F, B)) {
         if (BP.Lookaheads.empty())
           continue;
-        const RegSet &BlockLive = LV.liveIn(B.getId());
+        LiveSet BlockLive = LV.liveIn(B.getId());
         // The off-trace path PQS, built on the first finding: witnesses
         // need the bypass-taken condition and the compensation guards.
         Block Path = makePathBlock(B, BP);
@@ -470,7 +470,7 @@ public:
             if (Op.readsReg(R))
               continue; // self-update: the path sees the updated value,
                         // exactly as the re-executed compares expect
-            bool HadValue = BlockLive.count(R) != 0;
+            bool HadValue = BlockLive.contains(R);
             for (size_t J = 0; J < I && !HadValue; ++J)
               if (B.ops()[J].definesReg(R))
                 HadValue = true;
@@ -587,9 +587,9 @@ public:
               Op.isBranch() ? PQS.takenExpr(K) : PQS.execExpr(K);
           if (!Mgr.isValid(ExitE))
             continue;
-          RegSet Need = LV.liveAtExit(F, Path, K);
           int CompIdx = static_cast<int>(K - (BP.BranchIdx + 1));
-          for (Reg R : sorted(Need)) {
+          // Ascending register order keeps the findings deterministic.
+          for (Reg R : LV.liveAtExit(F, Path, K)) {
             // Same conventions as use-before-def: the true predicate is
             // always available, registers defined in predecessor blocks
             // (or around a loop) arrive at the region entry, and a
@@ -631,14 +631,6 @@ public:
         }
       }
     }
-  }
-
-private:
-  /// Deterministic iteration order over an unordered register set.
-  static std::vector<Reg> sorted(const RegSet &S) {
-    std::vector<Reg> V(S.begin(), S.end());
-    std::sort(V.begin(), V.end());
-    return V;
   }
 };
 

@@ -16,42 +16,42 @@ namespace {
 /// One DCE sweep. Returns true if anything changed.
 bool sweepOnce(Function &F, DCEStats &Stats) {
   Liveness LV(F);
+  // Every register of F has an index; the always-true predicate has
+  // none and is never defined, so reads of it need no bit.
+  const RegNumbering &N = LV.numbering();
   bool Changed = false;
+  BitVector Live(N.size());
 
   for (size_t BI = 0, BE = F.numBlocks(); BI != BE; ++BI) {
     Block &B = F.block(BI);
 
-    // Intra-block backward liveness over sets, seeded from the block-level
-    // results, folding in interior exit contributions at their positions.
-    RegSet Live = LV.liveOut(B.getId());
-    // liveOut over-approximates (it unions all exits); recompute the
-    // fall-through component precisely.
-    Live.clear();
-    if (BI + 1 < F.numBlocks()) {
-      const RegSet &NextIn = LV.liveIn(F.block(BI + 1).getId());
-      Live.insert(NextIn.begin(), NextIn.end());
-    }
-    for (Reg R : F.observableRegs())
-      Live.insert(R);
+    // Intra-block backward liveness over bits, seeded precisely with the
+    // fall-through component (liveOut unions all exits), folding in
+    // interior exit contributions at their positions.
+    Live.reset();
+    if (BI + 1 < F.numBlocks())
+      LV.liveIn(F.block(BI + 1).getId()).addTo(Live);
+    LV.observable().addTo(Live);
 
     // Walk backward, marking dead defs.
     std::vector<bool> RemoveOp(B.size(), false);
     std::vector<std::vector<bool>> RemoveDef(B.size());
     for (size_t OI = B.size(); OI-- > 0;) {
       Operation &Op = B.ops()[OI];
-      if (Op.isBranch()) {
-        RegSet ExitLive = LV.liveAtExit(F, B, OI);
-        Live.insert(ExitLive.begin(), ExitLive.end());
-      } else if (Op.getOpcode() == Opcode::Halt ||
-                 Op.getOpcode() == Opcode::Trap) {
-        for (Reg R : F.observableRegs())
-          Live.insert(R);
-      }
+      if (Op.isBranch())
+        LV.liveAtExit(F, B, OI).addTo(Live);
+      else if (Op.getOpcode() == Opcode::Halt ||
+               Op.getOpcode() == Opcode::Trap)
+        LV.observable().addTo(Live);
 
+      auto IsLive = [&](Reg R) {
+        int I = N.indexOf(R);
+        return I >= 0 && Live.test(static_cast<size_t>(I));
+      };
       RemoveDef[OI].assign(Op.defs().size(), false);
       bool AnyLiveDef = false;
       for (size_t DI = 0; DI < Op.defs().size(); ++DI) {
-        if (Live.count(Op.defs()[DI].R))
+        if (IsLive(Op.defs()[DI].R))
           AnyLiveDef = true;
         else
           RemoveDef[OI][DI] = true;
@@ -61,7 +61,7 @@ bool sweepOnce(Function &F, DCEStats &Stats) {
       // Pbr results feed branches; keep them only if some branch uses the
       // BTR (covered by liveness: if the branch exists, the BTR is live).
       if (Op.getOpcode() == Opcode::Pbr && !AnyLiveDef &&
-          !Live.count(Op.defs()[0].R))
+          !IsLive(Op.defs()[0].R))
         MustKeep = false;
 
       if (!MustKeep && !AnyLiveDef && !Op.defs().empty()) {
@@ -80,14 +80,20 @@ bool sweepOnce(Function &F, DCEStats &Stats) {
             Op.isCmpp()
                 ? (D.Act == CmppAction::UN || D.Act == CmppAction::UC)
                 : (Op.getGuard().isTruePred() || Op.isFrpGuard());
-        if (AlwaysWrites && !RemoveDef[OI][DI])
-          Live.erase(D.R);
+        int I = N.indexOf(D.R);
+        if (AlwaysWrites && !RemoveDef[OI][DI] && I >= 0)
+          Live.reset(static_cast<size_t>(I));
       }
+      auto Use = [&](Reg R) {
+        int I = N.indexOf(R);
+        if (I >= 0)
+          Live.set(static_cast<size_t>(I));
+      };
       if (!Op.getGuard().isTruePred())
-        Live.insert(Op.getGuard());
+        Use(Op.getGuard());
       for (const Operand &S : Op.srcs())
         if (S.isReg())
-          Live.insert(S.getReg());
+          Use(S.getReg());
     }
 
     // Apply removals (backward so indices stay valid).

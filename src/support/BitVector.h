@@ -8,9 +8,10 @@
 /// A dense dynamically-sized bitset for dataflow sets (ROADMAP O3): one
 /// bit per universe element packed into 64-bit words, with the word-wise
 /// bulk operations iterative dataflow spends its time in (|=, &=, andNot,
-/// equality). All set-algebra operations require operands of the same
-/// size(); the analysis that owns the universe numbering sizes every
-/// vector once up front.
+/// equality), plus raw word access for analyses with their own mask
+/// pools. All set-algebra operations require operands of the same size();
+/// the analysis that owns the universe numbering sizes every vector once
+/// up front.
 ///
 /// Thread-safety: const operations are safe concurrently; mutation
 /// requires external synchronization (same contract as std::vector).
@@ -133,6 +134,12 @@ public:
     }
     return Changed;
   }
+
+  /// Raw word access for analyses that keep masks in their own word
+  /// pools. Bits past size() in the last word must stay clear.
+  size_t numWords() const { return Words.size(); }
+  const uint64_t *words() const { return Words.data(); }
+  uint64_t *words() { return Words.data(); }
 
   bool operator==(const BitVector &O) const {
     return NumBits == O.NumBits && Words == O.Words;

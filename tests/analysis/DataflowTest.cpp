@@ -29,7 +29,7 @@ size_t layoutOf(const Function &F, const char *Name) {
   return 0;
 }
 
-TEST(RegNumberingTest, DenseFirstAppearanceOrder) {
+TEST(RegNumberingTest, DenseAscendingOrder) {
   std::unique_ptr<Function> F = parseFunctionOrDie(R"(
 func @f {
 block @A:
@@ -39,16 +39,42 @@ block @A:
 }
 )");
   RegNumbering N(*F);
-  // First-appearance order, sources before defs within an op, no
-  // duplicates, and no bit for the always-true predicate guard.
+  // Ascending register order, no duplicates, and no bit for the
+  // always-true predicate guard.
   EXPECT_EQ(N.size(), 3u);
   EXPECT_EQ(N.indexOf(Reg::gpr(1)), 0);
-  EXPECT_EQ(N.indexOf(Reg::gpr(3)), 1);
-  EXPECT_EQ(N.indexOf(Reg::gpr(2)), 2);
+  EXPECT_EQ(N.indexOf(Reg::gpr(2)), 1);
+  EXPECT_EQ(N.indexOf(Reg::gpr(3)), 2);
   EXPECT_EQ(N.indexOf(Reg::truePred()), -1);
   EXPECT_EQ(N.indexOf(Reg::gpr(9)), -1);
   for (size_t I = 0; I < N.size(); ++I)
     EXPECT_EQ(N.indexOf(N.regOf(I)), static_cast<int>(I));
+}
+
+TEST(RegNumberingTest, HugeIdsNeedNoHugeTable) {
+  // Ids far beyond the function's size (legal in cprd input) are numbered
+  // through the sparse path: same ascending order, same lookups.
+  std::unique_ptr<Function> F = parseFunctionOrDie(R"(
+func @f {
+  observable r4000000000
+block @A:
+  r4000000000 = add(r7, r3000000000)
+  p2000000000:un = cmpp.eq(r7, 0)
+  store(r7, 1) if p2000000000
+  halt
+}
+)");
+  RegNumbering N(*F);
+  ASSERT_EQ(N.size(), 4u);
+  EXPECT_EQ(N.regOf(0), Reg::gpr(7));
+  EXPECT_EQ(N.regOf(1), Reg::gpr(3000000000u));
+  EXPECT_EQ(N.regOf(2), Reg::gpr(4000000000u));
+  EXPECT_EQ(N.regOf(3), Reg::pred(2000000000u));
+  for (size_t I = 0; I < N.size(); ++I)
+    EXPECT_EQ(N.indexOf(N.regOf(I)), static_cast<int>(I));
+  EXPECT_EQ(N.indexOf(Reg::gpr(3999999999u)), -1);
+  EXPECT_EQ(N.indexOf(Reg::pred(1)), -1);
+  EXPECT_EQ(N.indexOf(Reg()), -1);
 }
 
 TEST(ReachingDefBlocksTest, PropagatesAroundLoopBackEdge) {

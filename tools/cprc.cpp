@@ -298,6 +298,19 @@ OptionTable buildOptions(Config &C) {
   return T;
 }
 
+/// The first set flag a --server= compile cannot forward (the cprd-v1
+/// request has no field for it), or null. Such a flag is rejected rather
+/// than silently dropped.
+const char *unforwardableServerFlag(const Config &C) {
+  if (C.IfConvert)
+    return "--if-convert";
+  if (C.Simplify)
+    return "--simplify";
+  if (C.Phase != "all")
+    return "--phase";
+  return nullptr;
+}
+
 /// --server=: ship the compile to a cprd daemon and render its response
 /// the way a local compile would have. The file is normalized through the
 /// fuzz-program serializer first so --reg/--mem flags merge with any
@@ -426,6 +439,14 @@ int main(int argc, char **argv) {
     return exit_codes::UsageError;
   }
   C.InputPath = Positional[0];
+  if (!C.Server.empty())
+    if (const char *Flag = unforwardableServerFlag(C)) {
+      std::fprintf(stderr,
+                   "cprc: %s cannot be sent to a --server= daemon; "
+                   "compile locally instead\n",
+                   Flag);
+      return exit_codes::UsageError;
+    }
 
   std::ifstream In(C.InputPath);
   if (!In) {
