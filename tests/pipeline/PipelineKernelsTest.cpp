@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 using namespace cpr;
 
 namespace {
@@ -21,6 +23,11 @@ struct KernelCase {
   const char *Name;
   KernelProgram (*Build)();
 };
+
+// Print a case by its name. Without this, gtest prints the raw bytes of
+// both pointers, and the listed test names would change with every load
+// address.
+void PrintTo(const KernelCase &C, std::ostream *OS) { *OS << C.Name; }
 
 KernelProgram buildStrcpy() { return buildStrcpyKernel(8, 4096, 11); }
 KernelProgram buildCmp() { return buildCmpKernel(8, 4096, 4000, 12); }
